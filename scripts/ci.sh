@@ -3,7 +3,8 @@
 #   1. fedcheck — scripts/fedcheck.py whole-program static analysis
 #                 (lock-order, layer DAG, reactor-blocking + ported lint
 #                 rules) and its own fixture tests; seconds, no toolchain
-#   2. release  — build + full ctest suite
+#   2. release  — build + full ctest suite, then the test-id guard: no
+#                 ctest name may print a test parameter as raw bytes
 #   3. asan     — same suite under Address/UndefinedBehaviorSanitizer
 #   4. ubsan    — same suite under UBSan alone (recover disabled), so UB
 #                 that ASan's shadow layout masks still fails the build
@@ -27,11 +28,35 @@ echo "==> fedcheck"
 python3 scripts/test_fedcheck.py
 python3 scripts/fedcheck.py
 
+# Fails when a ctest name in build tree $1 holds a parameter printed as raw
+# bytes ("N-byte object <…>"): those bytes can include heap addresses, so
+# the test IDs would change from build to build. The fix is a PrintTo for
+# the parameter type.
+check_test_ids() {
+  if ctest --test-dir "$1" -N | grep -F -- '-byte object <'; then
+    echo "ctest names in $1 print a test parameter as raw bytes" >&2
+    return 1
+  fi
+}
+
 for preset in release asan ubsan tsan; do
   echo "==> ${preset}"
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$jobs"
   ctest --preset "$preset" -j "$jobs"
+  if [ "$preset" = release ]; then
+    # Stable test IDs: the release tree must pass the guard, and the guard
+    # must reject a fixture whose parameter struct has no PrintTo.
+    echo "==> test ids"
+    check_test_ids build-release
+    fixture_dir="build-release/unprinted-param-fixture"
+    cmake -S scripts/fixtures/unprinted_param -B "$fixture_dir" >/dev/null
+    cmake --build "$fixture_dir" -j "$jobs" >/dev/null
+    if check_test_ids "$fixture_dir" >/dev/null 2>&1; then
+      echo "test-id guard passed a parameter with no PrintTo" >&2
+      exit 1
+    fi
+  fi
 done
 
 # Serving-layer smoke: the benchmark's reduced sweep plus the end-to-end

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "autodiff/ops.h"
 #include "autodiff/var.h"
 #include "core/meta.h"
@@ -180,6 +182,10 @@ struct ConvGeometry {
   std::size_t h, w, k, batch;
 };
 
+void PrintTo(const ConvGeometry& g, std::ostream* os) {
+  *os << 'h' << g.h << 'w' << g.w << 'k' << g.k << 'b' << g.batch;
+}
+
 class ConvGradSweep : public ::testing::TestWithParam<ConvGeometry> {};
 
 TEST_P(ConvGradSweep, KernelGradientMatchesFiniteDifferences) {
@@ -213,11 +219,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ConvGeometry{3, 3, 1, 2}, ConvGeometry{3, 3, 3, 1},
                       ConvGeometry{4, 4, 2, 3}, ConvGeometry{5, 5, 3, 2},
                       ConvGeometry{5, 4, 2, 2}, ConvGeometry{6, 6, 4, 1}),
-    [](const ::testing::TestParamInfo<ConvGeometry>& info) {
-      const auto& g = info.param;
-      return "h" + std::to_string(g.h) + "w" + std::to_string(g.w) + "k" +
-             std::to_string(g.k) + "b" + std::to_string(g.batch);
-    });
+    ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace fedml::autodiff

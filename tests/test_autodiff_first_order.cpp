@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 #include <string>
 
 #include "autodiff/ops.h"
@@ -23,6 +24,10 @@ struct OpCase {
   std::function<Var(const Var&)> fn;      ///< must map R×C to 1×1
   double input_lo = -1.0, input_hi = 1.0; ///< sampling range for the input
 };
+
+/// gtest prints a parameter with no printer as raw bytes, which for OpCase
+/// include heap pointers; the test name must stay stable across builds.
+void PrintTo(const OpCase& c, std::ostream* os) { *os << c.name; }
 
 class GradCheck : public ::testing::TestWithParam<OpCase> {};
 
@@ -192,7 +197,7 @@ INSTANTIATE_TEST_SUITE_P(
                [](const Var& x) {
                  return ops::sum(ops::square(ops::softmax_rows(x)));
                }}),
-    [](const ::testing::TestParamInfo<OpCase>& info) { return info.param.name; });
+    ::testing::PrintToStringParamName());
 
 // --------------------------------------------------------- basic semantics --
 

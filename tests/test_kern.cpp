@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <ostream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -79,6 +80,10 @@ std::vector<double> random_vec(std::size_t n, util::Rng& rng,
 struct GemmShape {
   std::size_t m, n, k;
 };
+
+void PrintTo(const GemmShape& s, std::ostream* os) {
+  *os << s.m << 'x' << s.n << 'x' << s.k;
+}
 
 class GemmSweep : public ::testing::TestWithParam<GemmShape> {};
 
