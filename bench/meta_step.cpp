@@ -11,12 +11,8 @@
 //            paths (A·Bᵀ without materializing Bᵀ), and fused elementwise
 //            VJP chains.
 //
-// Both modes share the episode arena for tape nodes, so the compat column
-// is *already* faster than the pre-kern code; the speedup column is the
-// conservative (dispatch-only) win. Three micro sections isolate where the
-// time goes: raw gemm, the fused sigmoid-VJP chain versus the three-pass
-// temporary chain it replaces, and tape construction with the arena versus
-// the heap.
+// Two micro sections isolate where the time goes: raw gemm, and the fused
+// sigmoid-VJP chain versus the three-pass temporary chain it replaces.
 //
 // Output: a config-headed table (one row per swept config), optional CSV
 // via --csv=<path>, and BENCH_meta_step.json for scripts/check_bench.py
@@ -34,11 +30,8 @@
 #include <utility>
 #include <vector>
 
-#include "autodiff/ops.h"
-#include "autodiff/var.h"
 #include "bench_common.h"
 #include "core/meta.h"
-#include "kern/arena.h"
 #include "kern/elementwise.h"
 #include "kern/gemm.h"
 #include "kern/kern.h"
@@ -95,7 +88,7 @@ Workload make_workload(const Config& c, std::uint64_t seed) {
 double time_median_ms(std::size_t reps, double min_rep_ms,
                       const std::function<void()>& fn) {
   using clock = std::chrono::steady_clock;
-  fn();  // warm-up: page in buffers, populate the episode arena pool
+  fn();  // warm-up: page in buffers
   auto once = [&] {
     const auto t0 = clock::now();
     fn();
@@ -242,34 +235,6 @@ int main(int argc, char** argv) {
     metrics.emplace_back(
         "fused_sigmoid_vjp_n" + std::to_string(n) + "_speedup",
         chained / fused);
-  }
-
-  // -- section 4: tape construction, arena vs heap --------------------------
-  {
-    const std::size_t ops = smoke ? std::size_t{64} : std::size_t{512};
-    util::Rng rng(seed ^ 0xa11c);
-    const tensor::Tensor x0(4, 8, rng.normal_vector(32));
-    auto build = [&] {
-      autodiff::Var v(x0, true);
-      for (std::size_t i = 0; i < ops; ++i) v = autodiff::ops::relu(v);
-      FEDML_CHECK(v.value().rows() == 4, "tape bench shape drift");
-    };
-    const double heap = time_median_ms(reps, 1.0, build);
-    const double arena = time_median_ms(reps, 1.0, [&] {
-      kern::Episode ep;
-      build();
-    });
-    util::Table a({"tape", "heap ms", "arena ms", "speedup"});
-    a.add_row({std::to_string(ops) + "-op graph", heap, arena, heap / arena});
-    bench::emit(a, "Tape construction — episode arena vs heap nodes", csv);
-    metrics.emplace_back("tape_arena_" + std::to_string(ops) + "op_speedup",
-                         heap / arena);
-    const auto st = kern::episode_stats();
-    metrics.emplace_back("arena_reuse_ratio",
-                         st.episodes == 0
-                             ? 0.0
-                             : static_cast<double>(st.arenas_reused) /
-                                   static_cast<double>(st.episodes));
   }
 
   bench::write_bench_json("meta_step", metrics, json_dir);

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "autodiff/ops.h"
-#include "kern/arena.h"
 #include "util/error.h"
 
 namespace fedml::autodiff {
@@ -15,20 +14,10 @@ std::uint64_t next_node_id() {
   static std::atomic<std::uint64_t> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
-
-NodePtr alloc_node() {
-  if (kern::ArenaPtr arena = kern::current_arena()) {
-    // Control block + Node in one arena bump; the allocator copy inside the
-    // control block holds the arena reference that keeps storage alive.
-    return std::allocate_shared<Node>(
-        kern::ArenaAllocator<Node>(std::move(arena)));
-  }
-  return std::make_shared<Node>();
-}
 }  // namespace detail
 
 Var::Var(tensor::Tensor value, bool requires_grad) {
-  auto n = detail::alloc_node();
+  auto n = std::make_shared<detail::Node>();
   n->value = std::move(value);
   n->requires_grad = requires_grad;
   n->id = detail::next_node_id();
@@ -45,7 +34,7 @@ Var Var::detach() const { return Var(value(), /*requires_grad=*/false); }
 namespace {
 
 detail::NodePtr op_node(tensor::Tensor value) {
-  auto n = detail::alloc_node();
+  auto n = std::make_shared<detail::Node>();
   n->value = std::move(value);
   n->id = detail::next_node_id();
   return n;

@@ -26,11 +26,9 @@ namespace detail {
 /// gradient contribution for parent k — and is itself written with
 /// differentiable ops, which is what makes grad-of-grad exact.
 ///
-/// Nodes live either on the plain heap or — inside a kern::Episode — in a
-/// bump arena, chosen by make_op/Var at creation. Arena nodes keep their
-/// arena alive through the allocator stored in the shared_ptr control
-/// block, so an escaping Var can never outlive its storage (see
-/// kern/arena.h for the full lifetime contract).
+/// Nodes live on the plain heap (`std::make_shared`), owned by the Vars and
+/// child edges that reference them; a graph is freed when its last handle
+/// drops.
 struct Node {
   tensor::Tensor value;
   bool requires_grad = false;
@@ -50,9 +48,6 @@ struct Node {
 using NodePtr = std::shared_ptr<Node>;
 
 std::uint64_t next_node_id();
-
-/// Fresh node from the current episode's arena, or the heap outside one.
-NodePtr alloc_node();
 
 }  // namespace detail
 

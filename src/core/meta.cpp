@@ -1,7 +1,6 @@
 #include "core/meta.h"
 
 #include "autodiff/ops.h"
-#include "kern/arena.h"
 #include "nn/loss.h"
 #include "nn/params.h"
 #include "util/error.h"
@@ -20,21 +19,10 @@ Var batch_loss(const nn::Module& model, const nn::ParamList& params,
   return nn::softmax_cross_entropy(model.forward(params, x), d.y);
 }
 
-/// Close the episode, then re-materialize `vars` as plain heap leaves. Run
-/// before returning from an Episode scope so results do not pin the arena
-/// (an escaping arena-backed Var keeps the whole block alive and blocks
-/// arena reuse for the next episode).
-nn::ParamList escape_episode(kern::Episode& ep, const nn::ParamList& vars,
-                             bool requires_grad = false) {
-  ep.close();
-  return nn::clone_leaves(vars, requires_grad);
-}
-
 }  // namespace
 
 double empirical_loss(const nn::Module& model, const nn::ParamList& theta,
                       const data::Dataset& d) {
-  kern::Episode ep;  // tape nodes come from a pooled bump arena
   const nn::ParamList frozen = nn::clone_leaves(theta, /*requires_grad=*/false);
   return batch_loss(model, frozen, d).item();
 }
@@ -42,7 +30,6 @@ double empirical_loss(const nn::Module& model, const nn::ParamList& theta,
 double empirical_accuracy(const nn::Module& model, const nn::ParamList& theta,
                           const data::Dataset& d) {
   FEDML_CHECK(d.size() > 0, "accuracy over empty dataset");
-  kern::Episode ep;
   const nn::ParamList frozen = nn::clone_leaves(theta, /*requires_grad=*/false);
   const Var logits = model.forward(frozen, ops::constant(d.x));
   return nn::accuracy(logits.value(), d.y);
@@ -50,11 +37,9 @@ double empirical_accuracy(const nn::Module& model, const nn::ParamList& theta,
 
 nn::ParamList loss_gradient(const nn::Module& model, const nn::ParamList& theta,
                             const data::Dataset& d) {
-  kern::Episode ep;
   const nn::ParamList leaves = nn::clone_leaves(theta, /*requires_grad=*/true);
   const Var loss = batch_loss(model, leaves, d);
-  auto grads = autodiff::grad(loss, {leaves.begin(), leaves.end()});
-  return escape_episode(ep, grads);
+  return autodiff::grad(loss, {leaves.begin(), leaves.end()});
 }
 
 nn::ParamList meta_gradient(const nn::Module& model, const nn::ParamList& theta,
@@ -62,7 +47,6 @@ nn::ParamList meta_gradient(const nn::Module& model, const nn::ParamList& theta,
                             const std::vector<const data::Dataset*>& test_sets,
                             double alpha, MetaOrder order) {
   FEDML_CHECK(!test_sets.empty(), "meta_gradient: no test sets");
-  kern::Episode ep;
   nn::ParamList leaves = nn::clone_leaves(theta, /*requires_grad=*/true);
 
   // Inner step on D_train; keep the graph for the second-order term.
@@ -81,8 +65,7 @@ nn::ParamList meta_gradient(const nn::Module& model, const nn::ParamList& theta,
     const Var l = batch_loss(model, phi, *ts);
     outer = outer.defined() ? ops::add(outer, l) : l;
   }
-  auto meta_grads = autodiff::grad(outer, {leaves.begin(), leaves.end()});
-  return escape_episode(ep, meta_grads);
+  return autodiff::grad(outer, {leaves.begin(), leaves.end()});
 }
 
 nn::ParamList meta_gradient(const nn::Module& model, const nn::ParamList& theta,
@@ -97,7 +80,6 @@ nn::ParamList meta_gradient_multistep(
     double alpha, std::size_t inner_steps, MetaOrder order) {
   FEDML_CHECK(!test_sets.empty(), "meta_gradient_multistep: no test sets");
   FEDML_CHECK(inner_steps >= 1, "meta_gradient_multistep: need >= 1 inner step");
-  kern::Episode ep;
   nn::ParamList leaves = nn::clone_leaves(theta, /*requires_grad=*/true);
 
   nn::ParamList current = leaves;
@@ -117,8 +99,7 @@ nn::ParamList meta_gradient_multistep(
     const Var l = batch_loss(model, current, *ts);
     outer = outer.defined() ? ops::add(outer, l) : l;
   }
-  auto meta_grads = autodiff::grad(outer, {leaves.begin(), leaves.end()});
-  return escape_episode(ep, meta_grads);
+  return autodiff::grad(outer, {leaves.begin(), leaves.end()});
 }
 
 double meta_loss_multistep(const nn::Module& model, const nn::ParamList& theta,
@@ -136,13 +117,13 @@ double meta_loss(const nn::Module& model, const nn::ParamList& theta,
 
 nn::ParamList adapt(const nn::Module& model, const nn::ParamList& theta,
                     const data::Dataset& d, double alpha, std::size_t steps) {
-  kern::Episode ep;
   nn::ParamList params = nn::clone_leaves(theta, /*requires_grad=*/false);
   for (std::size_t s = 0; s < steps; ++s) {
     const nn::ParamList g = loss_gradient(model, params, d);
-    params = nn::sgd_step_leaf(params, g, alpha);
+    // sgd_step_leaf's arithmetic, but the adapted model stays frozen.
+    params = nn::add_scaled(params, g, -alpha, /*requires_grad=*/false);
   }
-  return escape_episode(ep, params);
+  return params;
 }
 
 }  // namespace fedml::core

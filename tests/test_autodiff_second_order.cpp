@@ -21,6 +21,10 @@ TEST(SecondOrder, CubeScalar) {
   EXPECT_NEAR(g.item(), 12.0, 1e-12);
   const Var gg = grad(ops::sum(g), {x})[0];
   EXPECT_NEAR(gg.item(), 12.0, 1e-12);  // d(3x²)/dx = 6x = 12
+
+  // The other association, first order only: d(x·x²)/dx = 3x² = 27 at x = 3.
+  Var x3(Tensor{{3.0}}, true);
+  EXPECT_NEAR(grad(ops::mul(x3, ops::mul(x3, x3)), {x3})[0].item(), 27.0, 1e-12);
 }
 
 TEST(SecondOrder, ExpHasAllDerivativesEqual) {

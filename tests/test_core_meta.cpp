@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "autodiff/var.h"
 #include "data/synthetic.h"
 #include "nn/params.h"
 #include "test_helpers.h"
@@ -190,6 +191,32 @@ TEST(Meta, MetaLossDecreasesAlongMetaGradient) {
   const auto g = meta_gradient(*model, theta, train, test, alpha);
   theta = nn::sgd_step_leaf(theta, g, 0.05);
   EXPECT_LT(meta_loss(*model, theta, train, test, alpha), before);
+}
+
+// Every result is a plain leaf with no edge back into the tape that made
+// it, so a caller holding a gradient or an adapted model keeps no graph
+// alive and cannot differentiate through it by accident.
+TEST(Meta, ResultsHoldNoTape) {
+  const auto model = nn::make_mlp(3, {4}, 2);
+  util::Rng rng(61);
+  const auto theta = model->init_params(rng);
+  const auto train = toy_task(6, 3, 2, 62);
+  const auto test = toy_task(6, 3, 2, 63);
+  const auto expect_leaves = [&](const nn::ParamList& result, const char* what) {
+    ASSERT_EQ(result.size(), theta.size()) << what;
+    for (const auto& p : result) {
+      EXPECT_FALSE(p.requires_grad()) << what;
+      EXPECT_TRUE(p.node()->edges.empty()) << what;
+    }
+  };
+  expect_leaves(meta_gradient(*model, theta, train, test, 0.1, MetaOrder::kSecondOrder),
+                "meta_gradient, second order");
+  expect_leaves(meta_gradient(*model, theta, train, test, 0.1, MetaOrder::kFirstOrder),
+                "meta_gradient, first order");
+  expect_leaves(meta_gradient_multistep(*model, theta, train, {&test}, 0.1, 2),
+                "meta_gradient_multistep");
+  expect_leaves(loss_gradient(*model, theta, train), "loss_gradient");
+  expect_leaves(adapt(*model, theta, train, 0.1, 2), "adapt");
 }
 
 }  // namespace

@@ -1,15 +1,14 @@
 // Unit tests for the src/kern/ compute-kernel subsystem: gemm goldens
 // against a naive reference across edge shapes, exact bit-equality of the
 // kCompat path against the historical loop, elementwise aliasing, the
-// SmallFunc/SmallVec tape containers, arena/episode lifetime, and
-// finite-difference validation of the second-order meta-gradient when the
-// graph is built through kern::Mode::kFast.
+// SmallFunc/SmallVec tape containers, and finite-difference validation of
+// the second-order meta-gradient when the graph is built through
+// kern::Mode::kFast.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
 #include <ostream>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -17,7 +16,6 @@
 #include "autodiff/ops.h"
 #include "core/meta.h"
 #include "data/synthetic.h"
-#include "kern/arena.h"
 #include "kern/elementwise.h"
 #include "kern/gemm.h"
 #include "kern/kern.h"
@@ -279,75 +277,6 @@ TEST(SmallVec, MoveHandlesInlineAndHeapStates) {
   kern::SmallVec<std::shared_ptr<int>, 2> from_heap(std::move(heap));
   ASSERT_EQ(from_heap.size(), 9u);
   for (int i = 0; i < 9; ++i) EXPECT_EQ(*from_heap[static_cast<std::size_t>(i)], i);
-}
-
-// ------------------------------------------------------- arena / episode ---
-
-TEST(Arena, BumpAllocatesAlignedAndResetReusesBlocks) {
-  kern::Arena arena(1024);
-  void* p1 = arena.allocate(100, 8);
-  void* p2 = arena.allocate(100, 64);
-  EXPECT_NE(p1, p2);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p2) % 64, 0u);
-  const std::size_t reserved = arena.bytes_reserved();
-  arena.reset();
-  EXPECT_EQ(arena.bytes_in_use(), 0u);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);  // blocks kept for reuse
-  void* p3 = arena.allocate(100, 8);
-  EXPECT_EQ(p1, p3);  // bump pointer rewound to the first block
-}
-
-TEST(Episode, PoolsAndReusesArenasAcrossEpisodes) {
-  const auto before = kern::episode_stats();
-  { kern::Episode ep; (void)autodiff::Var(Tensor::zeros(2, 2)); }
-  { kern::Episode ep; (void)autodiff::Var(Tensor::zeros(2, 2)); }
-  const auto after = kern::episode_stats();
-  EXPECT_EQ(after.episodes, before.episodes + 2);
-  // The second episode must have found the first one's arena in the pool.
-  EXPECT_GE(after.arenas_reused, before.arenas_reused + 1);
-}
-
-TEST(Episode, EscapingVarKeepsItsArenaAliveAndBlocksReuse) {
-  const auto before = kern::episode_stats();
-  autodiff::Var escaped;
-  {
-    kern::Episode ep;
-    escaped = autodiff::Var(Tensor::full(1, 1, 42.0));
-  }
-  // The Var still works after the episode ended: the allocator inside its
-  // control block owns a reference to the arena.
-  EXPECT_DOUBLE_EQ(escaped.item(), 42.0);
-  {
-    kern::Episode ep;
-    (void)autodiff::Var(Tensor::zeros(1, 1));
-  }
-  const auto after = kern::episode_stats();
-  // The pinned arena was not handed out again while `escaped` holds it.
-  EXPECT_GE(after.arenas_created, before.arenas_created + 1);
-  EXPECT_DOUBLE_EQ(escaped.item(), 42.0);
-}
-
-TEST(Episode, ExceptionPathReleasesTheArena) {
-  const auto thrower = [] {
-    kern::Episode ep;
-    (void)autodiff::Var(Tensor::zeros(4, 4));
-    throw std::runtime_error("episode unwound");
-  };
-  EXPECT_THROW(thrower(), std::runtime_error);
-  // After unwinding, no arena is current: new nodes go to the heap and a
-  // fresh episode can start cleanly.
-  EXPECT_EQ(kern::current_arena(), nullptr);
-  kern::Episode ep;
-  EXPECT_NE(kern::current_arena(), nullptr);
-}
-
-TEST(Episode, GradGraphBuiltInsideEpisodeComputesCorrectly) {
-  kern::Episode ep;
-  autodiff::Var x(Tensor::full(1, 1, 3.0), /*requires_grad=*/true);
-  const autodiff::Var y =
-      autodiff::ops::mul(x, autodiff::ops::mul(x, x));  // x^3
-  const auto g = autodiff::grad(y, {x});
-  EXPECT_NEAR(g[0].item(), 27.0, 1e-12);  // 3x^2
 }
 
 // ----------------------------------------------- mode dispatch / autodiff ---
